@@ -366,6 +366,31 @@ func BenchmarkHareSchedule(b *testing.B) {
 	}
 }
 
+// BenchmarkHareScheduleScaling grows the job count 4× on a fixed
+// 250-GPU high-heterogeneity fleet. hareperf gates t(4k)/t(1k): a
+// planner whose fluid relaxation walks every job on every event is
+// quadratic (14.8 on a 2-CPU Xeon container); one whose cost follows
+// the running jobs stays near linear (5.4 there).
+func BenchmarkHareScheduleScaling(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		jobs int
+	}{{"1k", 1000}, {"4k", 4000}} {
+		b.Run(c.name, func(b *testing.B) {
+			in := benchInstance(c.jobs, 250, 5)
+			algo := sched.NewHare()
+			b.ReportMetric(float64(in.NumTasks()), "tasks")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := algo.Schedule(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkFluidRelaxation(b *testing.B) {
 	in := benchInstance(60, 24, 5)
 	b.ResetTimer()

@@ -64,6 +64,16 @@ var defaultRatios = []perf.RatioGate{
 		Num: "BenchmarkObsRPCDisabled", Den: "BenchmarkObsRPCEnabledRing",
 		Threshold: 0.60, Max: 0.5,
 	},
+	// Planner scaling: 4× the jobs on a fixed 250-GPU fleet. A fluid
+	// relaxation that walks every job on every event makes Hare's
+	// planner quadratic (t(4k)/t(1k) measured 14.8 on a 2-CPU Xeon
+	// container); walking only running jobs keeps it near linear
+	// (5.4 there). The cap sits between the two.
+	{
+		Name: "planner-scaling", Metric: "ns/op",
+		Num: "BenchmarkHareScheduleScaling/4k", Den: "BenchmarkHareScheduleScaling/1k",
+		Threshold: 0.50, Max: 9,
+	},
 }
 
 // defaultAbs are absolute allocation caps. allocs/op is deterministic
@@ -78,6 +88,10 @@ var defaultAbs = []perf.AbsGate{
 	// The observation-off RPC wrapper allocates nothing, ever: its nil
 	// handles never touch the event or timer beyond stack values.
 	{Name: "rpc-obs-nil-allocs", Bench: "BenchmarkObsRPCDisabled", Metric: "allocs/op", Max: 0},
+	// A 4000-job plan allocates per job and per GPU class, never per
+	// fluid event (~12600 today; the all-jobs planner with its rate
+	// map per fluid event made ~487000).
+	{Name: "planner-4k-allocs", Bench: "BenchmarkHareScheduleScaling/4k", Metric: "allocs/op", Max: 14000},
 }
 
 func main() {

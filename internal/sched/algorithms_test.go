@@ -213,7 +213,7 @@ func TestHareUsesRelaxationOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.H(in, 1, 0) >= sol.H(in, 0, 0) {
+	if sol.H(1, 0) >= sol.H(0, 0) {
 		t.Fatalf("relaxation did not prioritize the heavy short job")
 	}
 	s, err := NewHare().Schedule(in)

@@ -1,9 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"hare/internal/core"
 	"hare/internal/obs"
@@ -102,27 +103,29 @@ func (h *Hare) Schedule(in *core.Instance) (*core.Schedule, error) {
 	tasks := in.Tasks()
 	pi := make([]orderedTask, len(tasks))
 	for i, t := range tasks {
-		pi[i] = orderedTask{task: t, h: sol.H(in, t.Job, t.Round)}
+		pi[i] = orderedTask{task: t, h: sol.H(t.Job, t.Round)}
 	}
-	sort.SliceStable(pi, func(a, b int) bool {
-		if pi[a].h != pi[b].h {
-			return pi[a].h < pi[b].h
+	// The key (H, job, round, index) is unique per task, so the order
+	// does not depend on the sort's stability.
+	slices.SortFunc(pi, func(a, b orderedTask) int {
+		if c := cmp.Compare(a.h, b.h); c != 0 {
+			return c
 		}
 		// Deterministic tie-break: rounds must not invert within a
 		// job, then job/index order.
-		ta, tb := pi[a].task, pi[b].task
-		if ta.Job != tb.Job {
-			return ta.Job < tb.Job
+		ta, tb := a.task, b.task
+		if c := cmp.Compare(ta.Job, tb.Job); c != 0 {
+			return c
 		}
-		if ta.Round != tb.Round {
-			return ta.Round < tb.Round
+		if c := cmp.Compare(ta.Round, tb.Round); c != 0 {
+			return c
 		}
-		return ta.Index < tb.Index
+		return cmp.Compare(ta.Index, tb.Index)
 	})
 
 	// Step 2: list scheduling (lines 5–17).
 	s := core.NewSchedule()
-	phi := make([]float64, in.NumGPUs) // φ_m, line 2
+	gpus := newGPUPicker(h.gpuClasses(in), make([]float64, in.NumGPUs)) // φ_m, line 2
 	// barrier[j][r] caches max_{i∈D_r}(x̃_i + T̃^c + T̃^s) as rounds
 	// complete (line 10's maximum).
 	barrier := make([][]float64, len(in.Jobs))
@@ -149,9 +152,9 @@ func (h *Hare) Schedule(in *core.Instance) (*core.Schedule, error) {
 			ti = barrier[t.Job][t.Round-1]
 		}
 		// Line 12: choose the GPU.
-		m := h.pickGPU(in, t, phi, ti)
+		m := h.pickGPU(gpus, in.Train[t.Job], ti)
 		// Lines 13–16.
-		start := math.Max(ti, phi[m])
+		start := math.Max(ti, gpus.phi[m])
 		s.Place(t, m, start)
 		if h.rec.Enabled() {
 			h.rec.Emit(obs.Event{
@@ -160,7 +163,7 @@ func (h *Hare) Schedule(in *core.Instance) (*core.Schedule, error) {
 				H: ot.h, Note: h.Pick.String(),
 			})
 		}
-		phi[m] = start + in.Train[t.Job][m]
+		gpus.set(m, start+in.Train[t.Job][m])
 		end := start + in.Train[t.Job][m] + in.Sync[t.Job][m]
 		if end > barrier[t.Job][t.Round] {
 			barrier[t.Job][t.Round] = end
@@ -170,24 +173,21 @@ func (h *Hare) Schedule(in *core.Instance) (*core.Schedule, error) {
 	return s, nil
 }
 
-func (h *Hare) pickGPU(in *core.Instance, t core.TaskRef, phi []float64, ti float64) int {
-	switch h.Pick {
-	case PickEarliestFinish:
-		best, bestFinish := 0, math.Inf(1)
-		for m := 0; m < in.NumGPUs; m++ {
-			f := math.Max(ti, phi[m]) + in.Train[t.Job][m]
-			if f < bestFinish {
-				best, bestFinish = m, f
-			}
-		}
-		return best
-	default: // PickEarliestAvailable — argmin_m φ_m (line 12).
-		best := 0
-		for m := 1; m < in.NumGPUs; m++ {
-			if phi[m] < phi[best] {
-				best = m
-			}
-		}
-		return best
+// gpuClasses partitions the GPUs for h's picker: by Train column for
+// the earliest-finish pick, into one class for earliest-available.
+func (h *Hare) gpuClasses(in *core.Instance) [][]int {
+	if h.Pick == PickEarliestFinish {
+		return classifyGPUs(in)
 	}
+	return oneClass(in.NumGPUs)
+}
+
+// pickGPU is line 12 for a task with training-time row train and
+// available time ti.
+func (h *Hare) pickGPU(gpus *gpuPicker, train []float64, ti float64) int {
+	if h.Pick == PickEarliestFinish {
+		return gpus.pick(ti, train)
+	}
+	// PickEarliestAvailable — argmin_m φ_m (line 12).
+	return gpus.pick(math.Inf(-1), nil)
 }

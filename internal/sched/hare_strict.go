@@ -47,7 +47,7 @@ func (*HareStrict) Schedule(in *core.Instance) (*core.Schedule, error) {
 	var rounds []roundRef
 	for _, j := range in.Jobs {
 		for r := 0; r < j.Rounds; r++ {
-			rounds = append(rounds, roundRef{job: j.ID, round: r, h: sol.H(in, j.ID, r)})
+			rounds = append(rounds, roundRef{job: j.ID, round: r, h: sol.H(j.ID, r)})
 		}
 	}
 	sort.SliceStable(rounds, func(a, b int) bool {

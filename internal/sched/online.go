@@ -64,6 +64,9 @@ func (o *OnlineHare) Schedule(in *core.Instance) (*core.Schedule, error) {
 
 	s := core.NewSchedule()
 	phi := make([]float64, in.NumGPUs)
+	// GPU classes come from the full instance: each epoch's
+	// sub-instance reuses its Train rows, so they stay valid.
+	classes := (&Hare{Pick: o.Pick}).gpuClasses(in)
 	states := make([]jobState, len(in.Jobs))
 	for _, j := range in.Jobs {
 		states[j.ID].barrier = j.Arrival
@@ -74,7 +77,7 @@ func (o *OnlineHare) Schedule(in *core.Instance) (*core.Schedule, error) {
 		if ei+1 < len(epochs) {
 			next = epochs[ei+1]
 		}
-		if err := o.planEpoch(in, s, phi, states, now, next); err != nil {
+		if err := o.planEpoch(in, s, phi, classes, states, now, next); err != nil {
 			return nil, fmt.Errorf("hare-online: epoch at %g: %w", now, err)
 		}
 	}
@@ -90,7 +93,7 @@ func (o *OnlineHare) Schedule(in *core.Instance) (*core.Schedule, error) {
 // planEpoch plans all remaining rounds of arrived jobs as offline Hare
 // would, then commits only the rounds that start before the next
 // arrival.
-func (o *OnlineHare) planEpoch(in *core.Instance, s *core.Schedule, phi []float64, states []jobState, now, next float64) error {
+func (o *OnlineHare) planEpoch(in *core.Instance, s *core.Schedule, phi []float64, classes [][]int, states []jobState, now, next float64) error {
 	// Sub-instance over remaining work of arrived jobs. subID[i] is
 	// the real job behind sub-job i.
 	var subJobs []*core.Job
@@ -133,7 +136,7 @@ func (o *OnlineHare) planEpoch(in *core.Instance, s *core.Schedule, phi []float6
 	}
 	pi := sub.Tasks()
 	sort.SliceStable(pi, func(a, b int) bool {
-		ha, hb := sol.H(sub, pi[a].Job, pi[a].Round), sol.H(sub, pi[b].Job, pi[b].Round)
+		ha, hb := sol.H(pi[a].Job, pi[a].Round), sol.H(pi[b].Job, pi[b].Round)
 		if ha != hb {
 			return ha < hb
 		}
@@ -146,7 +149,7 @@ func (o *OnlineHare) planEpoch(in *core.Instance, s *core.Schedule, phi []float6
 		return pi[a].Index < pi[b].Index
 	})
 
-	tmpPhi := append([]float64(nil), phi...)
+	gpus := newGPUPicker(classes, phi)
 	barrier := make([][]float64, len(subJobs))
 	for i, j := range subJobs {
 		barrier[i] = make([]float64, j.Rounds)
@@ -159,14 +162,14 @@ func (o *OnlineHare) planEpoch(in *core.Instance, s *core.Schedule, phi []float6
 		if t.Round > 0 {
 			ti = barrier[t.Job][t.Round-1]
 		}
-		m := h.pickGPU(sub, t, tmpPhi, ti)
-		start := math.Max(ti, tmpPhi[m])
-		tmpPhi[m] = start + sub.Train[t.Job][m]
+		m := h.pickGPU(gpus, sub.Train[t.Job], ti)
+		start := math.Max(ti, gpus.phi[m])
+		gpus.set(m, start+sub.Train[t.Job][m])
 		end := start + sub.Train[t.Job][m] + sub.Sync[t.Job][m]
 		if end > barrier[t.Job][t.Round] {
 			barrier[t.Job][t.Round] = end
 		}
-		plan = append(plan, placed{task: t, gpu: m, start: start, h: sol.H(sub, t.Job, t.Round)})
+		plan = append(plan, placed{task: t, gpu: m, start: start, h: sol.H(t.Job, t.Round)})
 	}
 
 	// Commit the rounds that have *begun* before the next arrival:

@@ -18,6 +18,9 @@ go run ./cmd/harelint ./...
 echo "==> go build ./..."
 go build ./...
 
+echo "==> perfbench module: vet + self-tests (a nested module the root ./... does not reach)"
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "==> engine equivalence under -race (sim incremental-vs-reference, sharded-vs-serial, experiments parallel-vs-serial)"
 go test -race -run 'TestRunMatchesReference|TestRunGolden' ./internal/sim/
 go test -race -run 'TestSharded|TestSimulatorReuse|TestRunShardedHandles' ./internal/sim/
